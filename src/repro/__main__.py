@@ -2,11 +2,11 @@
 
 Usage::
 
-    python -m repro run program.c [--level optimized] [--streams]
+    python -m repro run <workload-or-source> [--level optimized]
     python -m repro run program.c [--faults SEED] [--heap-limit BYTES]
-    python -m repro run program.c [--validate]
-    python -m repro emit-ir program.c [--level unoptimized] [--streams]
-    python -m repro bench [<workload> ...] [--out BENCH_interp.json]
+    python -m repro run program.c [--validate] [--streams]
+    python -m repro emit-ir <workload-or-source> [--level unoptimized]
+    python -m repro bench [<workload> ...] [--repeat 3]
     python -m repro bench --streams [--out BENCH_streams.json]
     python -m repro faultbench [<workload> ...] [--out BENCH_faults.json]
     python -m repro trace <workload-or-source> [--streams] [--out t.json]
@@ -18,11 +18,12 @@ Usage::
     python -m repro servebench [--clients 10 100 1000] [--out F.json]
     python -m repro list
 
-``run`` compiles a MiniC source file at the chosen optimization level
-and executes it on the simulated platform; ``emit-ir`` prints the
-transformed IR; ``bench`` with workload names runs them through all
-four configurations, with no names runs the full 24-workload
-tree-vs-compiled engine sweep (``BENCH_interp.json``), and with
+``run`` compiles a MiniC source file (or a named workload) at the
+chosen optimization level and executes it on the simulated platform;
+``emit-ir`` prints the transformed IR; ``bench`` with workload names
+runs them through all four configurations, with no names runs the
+full 24-workload tree-vs-source engine sweep (``BENCH_interp.json``,
+never written from fewer than 3 repeats), and with
 ``--streams`` runs the serial-vs-overlapped sweep
 (``BENCH_streams.json``); ``faultbench`` runs the chaos sweep -- every
 workload under seeded fault schedules and device-heap caps, checking
@@ -62,6 +63,14 @@ writes ``BENCH_serve.json``.  ``run``/``fuzz`` accept
 ``--cache-stats`` to print the artifact-cache counters
 (``repro.api.cache_stats()``), and ``trace --serve N`` dumps a serve
 run's timeline with one track per request.
+
+Exit codes: 0 success; 1 the program or a check failed (nonzero
+program exit, divergence, sanitizer or lint findings); 2 bad input
+(MiniC syntax or type error, malformed IR, conflicting options,
+unknown workload, a file that cannot be read or written, failed
+translation validation, bad command line); 3 any other error raised
+while compiling or running.  Failures with code 2 or 3 print one
+``repro: <message>`` line on stderr, no traceback.
 """
 
 from __future__ import annotations
@@ -69,16 +78,40 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .core import CgcmCompiler, CgcmConfig, OptLevel
-from .errors import ConfigError, TransformValidationError
+from .errors import (ConfigError, FrontendError, IRParseError, ReproError,
+                     TransformValidationError, UnknownWorkloadError)
 from .evaluation import run_benchmark
 from .interp.trace import render_schedule
 from .ir import module_to_str
 from .workloads import ALL_WORKLOADS, get_workload, workload_names
 
 _LEVELS = {level.value: level for level in OptLevel}
+
+#: Errors that mean the input was bad (exit 2); any other
+#: :class:`ReproError` exits 3.
+_INPUT_ERRORS = (FrontendError, IRParseError, ConfigError,
+                 UnknownWorkloadError, OSError)
+
+_EXIT_CODES = """\
+exit codes:
+  0  success
+  1  the program or a check failed (nonzero program exit, divergence,
+     sanitizer or lint findings)
+  2  bad input: MiniC syntax/type error, malformed IR, conflicting
+     options, unknown workload, a file that cannot be read or
+     written, failed translation validation, bad command line
+  3  any other error raised while compiling or running
+codes 2 and 3 print one 'repro: <message>' line on stderr"""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors are one ``repro:`` line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"repro: {message} (see '{self.prog} --help')\n")
 
 
 def _parent(*specs) -> argparse.ArgumentParser:
@@ -101,10 +134,9 @@ _LEVEL_PARENT = _parent((("--level",), dict(
          "communication optimizations)")))
 
 _ENGINE_PARENT = _parent((("--engine",), dict(
-    choices=("source", "compiled", "tree"), default="source",
-    help="execution engine: source (Python source codegen, "
-         "fastest), compiled (closure compiler), or tree "
-         "(tree-walking reference interpreter)")))
+    choices=("source", "tree"), default="source",
+    help="execution engine: source (Python source codegen, the fast "
+         "path) or tree (tree-walking reference interpreter)")))
 
 _STREAMS_PARENT = _parent((("--streams",), dict(
     action="store_true",
@@ -154,10 +186,12 @@ def _topology_from_args(args: argparse.Namespace):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="CGCM (PLDI 2011) reproduction: compile and "
-                    "simulate MiniC programs")
+                    "simulate MiniC programs",
+        epilog=_EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
 
     run_cmd = commands.add_parser(
@@ -165,7 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[_LEVEL_PARENT, _ENGINE_PARENT, _STREAMS_PARENT,
                  _FAULTS_PARENT, _HEAP_PARENT, _VALIDATE_PARENT,
                  _SANITIZE_PARENT, _DEVICES_PARENT])
-    run_cmd.add_argument("source", help="MiniC source file")
+    run_cmd.add_argument("source", help="workload name (see 'list') or "
+                                        "MiniC source path")
     run_cmd.add_argument("--trace", action="store_true",
                          help="draw the execution schedule (Figure 2 "
                               "style)")
@@ -179,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     emit_cmd = commands.add_parser(
         "emit-ir", help="print the transformed IR",
         parents=[_LEVEL_PARENT, _STREAMS_PARENT])
-    emit_cmd.add_argument("source", help="MiniC source file")
+    emit_cmd.add_argument("source", help="workload name (see 'list') or "
+                                         "MiniC source path")
 
     trace_cmd = commands.add_parser(
         "trace",
@@ -203,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_cmd = commands.add_parser(
         "bench",
         help="with names: run workloads through all configurations; "
-             "with no names: three-engine speedup sweep",
+             "with no names: tree-vs-source engine speedup sweep",
         parents=[_STREAMS_PARENT, _DEVICES_PARENT])
     bench_cmd.add_argument("workloads", nargs="*",
                            help="workload names (see 'list'); omit for "
@@ -212,10 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="sweeps: where to write the JSON report "
                                 "(default BENCH_interp.json, or "
                                 "BENCH_streams.json with --streams)")
-    bench_cmd.add_argument("--repeat", type=int, default=1,
+    bench_cmd.add_argument("--repeat", type=int, default=3,
                            help="engine sweep: timing runs per engine "
                                 "per workload (the median is kept; "
-                                "min/max record the spread)")
+                                "min/max record the spread; default 3, "
+                                "the least BENCH_interp.json is "
+                                "written from)")
 
     multibench_cmd = commands.add_parser(
         "multibench",
@@ -386,27 +424,36 @@ def _fault_plan(seed: Optional[int]):
     return FaultPlan(seed=seed, **CHAOS_RATES)
 
 
-def _compile(path: str, level_name: str, record_events: bool = False,
+def _read_target(target: str) -> Tuple[str, str]:
+    """``(source, name)`` for a MiniC source path or a workload name.
+
+    An existing path, or anything with a file extension, is read as
+    a file (``OSError`` if it cannot be); otherwise the target names
+    a workload (:class:`UnknownWorkloadError` if it does not).
+    """
+    if os.path.exists(target) or os.path.splitext(target)[1]:
+        with open(target) as handle:
+            return handle.read(), target
+    workload = get_workload(target)
+    return workload.source, workload.name
+
+
+def _compile(target: str, level_name: str, record_events: bool = False,
              engine: str = "source", streams: bool = False,
-             faults=None, heap_limit: Optional[int] = None,
-             validate: bool = False, topology=None):
-    with open(path) as handle:
-        source = handle.read()
+             topology=None):
+    source, name = _read_target(target)
     config = CgcmConfig(opt_level=_LEVELS[level_name],
                         record_events=record_events, engine=engine,
-                        streams=streams, faults=faults,
-                        device_heap_limit=heap_limit,
-                        validate=validate, topology=topology)
+                        streams=streams, topology=topology)
     compiler = CgcmCompiler(config)
-    report = compiler.compile_source(source, path)
-    return compiler, report
+    report = compiler.compile_source(source, name)
+    return compiler, report, name
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import api
 
-    with open(args.source) as handle:
-        source = handle.read()
+    source, name = _read_target(args.source)
     config = CgcmConfig(opt_level=_LEVELS[args.level],
                         record_events=args.trace, engine=args.engine,
                         streams=args.streams,
@@ -415,7 +462,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         validate=args.validate,
                         sanitize=args.sanitize,
                         topology=_topology_from_args(args))
-    workload = api.compile_workload(source, config, name=args.source)
+    workload = api.compile_workload(source, config, name=name)
     report = workload.report
     result = workload.run()
     for line in result.stdout:
@@ -480,7 +527,7 @@ def _print_cache_stats() -> None:
 
 
 def _cmd_emit_ir(args: argparse.Namespace) -> int:
-    _, report = _compile(args.source, args.level, streams=args.streams)
+    _, report, _ = _compile(args.source, args.level, streams=args.streams)
     print(module_to_str(report.module))
     return 0
 
@@ -509,21 +556,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("repro trace: a workload or source target is required "
               "unless --serve is given", file=sys.stderr)
         return 2
-    topology = _topology_from_args(args)
-    if os.path.exists(args.target):
-        compiler, report = _compile(args.target, args.level,
-                                    record_events=True, engine=args.engine,
-                                    streams=args.streams,
-                                    topology=topology)
-        name = args.target
-    else:
-        workload = get_workload(args.target)
-        config = CgcmConfig(opt_level=_LEVELS[args.level],
-                            record_events=True, engine=args.engine,
-                            streams=args.streams, topology=topology)
-        compiler = CgcmCompiler(config)
-        report = compiler.compile_source(workload.source, workload.name)
-        name = workload.name
+    compiler, report, name = _compile(
+        args.target, args.level, record_events=True, engine=args.engine,
+        streams=args.streams, topology=_topology_from_args(args))
     result = compiler.execute(report)
     document = chrome_trace_json(result.events, name)
     if args.out == "-":
@@ -561,15 +596,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_engine_bench(args: argparse.Namespace) -> int:
-    """Three-engine sweep over all 24 workloads."""
-    from .evaluation.bench import run_engine_bench
+    """Tree-vs-source engine sweep over all 24 workloads."""
+    from .evaluation.bench import MIN_COMMITTED_REPEAT, run_engine_bench
+
+    out = args.out if args.out else "BENCH_interp.json"
+    if os.path.basename(out) == "BENCH_interp.json" \
+            and args.repeat < MIN_COMMITTED_REPEAT:
+        raise ConfigError(
+            f"--repeat {args.repeat} is too noisy for the committed "
+            f"{out}; use --repeat {MIN_COMMITTED_REPEAT} or more, or "
+            "--out elsewhere")
 
     def progress(comparison):
         status = "ok" if comparison.ok else "DIVERGED"
         print(f"{comparison.name:16s} {comparison.speedup:6.2f}x  {status}",
               file=sys.stderr)
 
-    out = args.out if args.out else "BENCH_interp.json"
     bench = run_engine_bench(repeat=args.repeat, progress=progress)
     print(bench.render())
     bench.write(out)
@@ -637,7 +679,7 @@ def _cmd_faultbench(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from .sanitizer import run_differential, run_differential_workload
+    from .sanitizer import run_differential
 
     level = _LEVELS[args.level]
     targets: List[str] = []
@@ -649,14 +691,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     failures = 0
     for target in targets:
-        if os.path.exists(target):
-            with open(target) as handle:
-                source = handle.read()
-            report = run_differential(source, target, level,
-                                      engine=args.engine)
-        else:
-            report = run_differential_workload(get_workload(target), level,
-                                               engine=args.engine)
+        source, name = _read_target(target)
+        report = run_differential(source, name, level, engine=args.engine)
         print(report.summary())
         if args.verbose and report.ok:
             stats = report.sanitizer.stats
@@ -673,8 +709,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from .staticcheck import (check_corpus, lint_source, lint_workload,
-                              sarif_document)
+    from .staticcheck import check_corpus, lint_source, sarif_document
 
     level = _LEVELS[args.level]
     targets: List[str] = []
@@ -689,18 +724,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     faults = _fault_plan(args.faults)
     reports = []
     for target in targets:
-        if os.path.exists(target):
-            with open(target) as handle:
-                source = handle.read()
-            reports.append(lint_source(source, target, level,
-                                       streams=args.streams,
-                                       faults=faults,
-                                       validate=args.validate))
-        else:
-            reports.append(lint_workload(get_workload(target), level,
-                                         streams=args.streams,
-                                         faults=faults,
-                                         validate=args.validate))
+        source, name = _read_target(target)
+        reports.append(lint_source(source, name, level,
+                                   streams=args.streams, faults=faults,
+                                   validate=args.validate))
 
     corpus_results = check_corpus() if args.corpus else []
     corpus_misses = [r for r in corpus_results if not r.caught]
@@ -874,9 +901,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(finding.render(), file=sys.stderr)
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
+    except _INPUT_ERRORS as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"
+        else:
+            message = str(exc)
+        print(f"repro: {message}", file=sys.stderr)
         return 2
+    except ReproError as exc:
+        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

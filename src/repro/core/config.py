@@ -49,10 +49,9 @@ class CgcmConfig:
     #: report lands on :attr:`ExecutionResult.sanitizer_report`.
     sanitize: bool = False
     #: Execution engine for simulated runs: ``"source"`` (Python
-    #: source codegen, the fast path -- see ``repro.interp.srcgen``),
-    #: ``"compiled"`` (closure compiler), or ``"tree"`` (tree-walking
-    #: reference interpreter).  All three are observationally and
-    #: clock-for-clock identical.
+    #: source codegen, the fast path -- see ``repro.interp.srcgen``)
+    #: or ``"tree"`` (tree-walking reference interpreter).  The two
+    #: are observationally and clock-for-clock identical.
     engine: str = "source"
     #: Streams subsystem: run the comm-overlap transform (at
     #: ``OPTIMIZED``), execute launches/transfers asynchronously, and

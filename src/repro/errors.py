@@ -112,6 +112,17 @@ class ConfigError(ReproError, ValueError):
     """
 
 
+class UnknownWorkloadError(ReproError, KeyError):
+    """A workload name is not one of the 24 paper benchmarks.
+
+    Also a ``KeyError`` so name lookups keep their mapping semantics.
+    """
+
+    def __str__(self) -> str:
+        # KeyError quotes its message; report it plainly.
+        return str(self.args[0]) if self.args else ""
+
+
 class TransformError(ReproError):
     """A compiler pass could not be applied to the given IR."""
 

@@ -1,21 +1,23 @@
-"""Interpreter benchmark: the three execution engines, head to head.
+"""Interpreter benchmark: the two execution engines, head to head.
 
 Runs the full 24-workload sweep under the tree-walking reference
-interpreter, the closure compiler (``compiled``), and the source
-codegen engine (``source``), asserting along the way that every
-engine is observationally identical to the tree-walker -- same
-stdout, exit code, final global bytes, dynamic instruction count,
-and *exactly* equal simulated-clock totals -- and records the
-wall-clock numbers as the repo's perf trajectory in
-``BENCH_interp.json``.
+interpreter and the source codegen engine (``source``), asserting
+along the way that the source engine is observationally identical to
+the tree-walker -- same stdout, exit code, final global bytes,
+dynamic instruction count, and *exactly* equal simulated-clock
+totals -- and records the wall-clock numbers as the repo's perf
+trajectory in ``BENCH_interp.json``.
 
 Timing discipline: each engine runs ``repeat`` times per workload
 and the **median** wall-clock is kept (with the min/max spread
 recorded per workload), so one cold run or scheduler hiccup cannot
 skew the headline number; the cyclic GC is paused inside the timed
 region (and run to completion just before it, ``timeit``-style) so
-garbage from one engine's run is never billed to the next.  The headline ``geomean_speedup`` is the
-source engine versus the tree-walker.
+garbage from one engine's run is never billed to the next.  The
+headline ``geomean_speedup`` is the source engine versus the
+tree-walker.  The committed ``BENCH_interp.json`` is the trajectory:
+the CLI refuses to write it from fewer than
+:data:`MIN_COMMITTED_REPEAT` repeats.
 
 Exposed as ``python -m repro bench`` (no workload arguments) and to
 the test-suite through the ``bench``-marked tests in
@@ -39,11 +41,14 @@ from ..core.config import CgcmConfig, OptLevel
 from ..workloads import ALL_WORKLOADS, Workload
 
 #: Schema tag for BENCH_interp.json (bump on incompatible change).
-BENCH_SCHEMA = "repro-bench-interp/2"
+BENCH_SCHEMA = "repro-bench-interp/3"
 
-#: Engines the sweep measures; the tree-walker is the baseline and
-#: oracle, the last entry is the headline fast engine.
-BENCH_ENGINES = ("tree", "compiled", "source")
+#: Engines the sweep measures: the tree-walker is the baseline and
+#: oracle, the source engine the headline.
+BENCH_ENGINES = ("tree", "source")
+
+#: Fewest repeats the committed trajectory file may be written from.
+MIN_COMMITTED_REPEAT = 3
 
 
 @dataclass
@@ -118,8 +123,6 @@ class BenchReport:
             "repeat": self.repeat,
             "python": platform.python_version(),
             "geomean_speedup": round(self.geomean_speedup, 4),
-            "geomean_speedup_compiled": round(
-                self.geomean_of("compiled"), 4),
             "workloads": [
                 {
                     "name": c.name,
@@ -130,8 +133,6 @@ class BenchReport:
                                  round(c.spread_s[engine][1], 6)]
                         for engine in BENCH_ENGINES},
                     "speedup": round(c.speedup, 4),
-                    "speedup_compiled": round(
-                        c.speedup_of("compiled"), 4),
                     "instructions": c.instructions,
                     "source_insts_per_s": round(
                         c.insts_per_s("source")),
@@ -148,19 +149,17 @@ class BenchReport:
             handle.write("\n")
 
     def render(self) -> str:
-        lines = [f"{'workload':16s} {'tree':>9s} {'compiled':>9s} "
+        lines = [f"{'workload':16s} {'tree':>9s} "
                  f"{'source':>9s} {'speedup':>8s} {'Minsts/s':>9s}"]
         for c in self.comparisons:
             status = "" if c.ok else "  DIVERGED"
             lines.append(
                 f"{c.name:16s} {c.wall_s['tree']:8.3f}s "
-                f"{c.wall_s['compiled']:8.3f}s "
                 f"{c.wall_s['source']:8.3f}s "
                 f"{c.speedup:7.2f}x "
                 f"{c.insts_per_s('source') / 1e6:9.2f}{status}")
-        lines.append(f"{'geomean':16s} {'':9s} "
-                     f"{self.geomean_of('compiled'):8.2f}x "
-                     f"{'':9s} {self.geomean_speedup:7.2f}x")
+        lines.append(f"{'geomean':16s} {'':9s} {'':9s} "
+                     f"{self.geomean_speedup:7.2f}x")
         return "\n".join(lines)
 
 
@@ -206,7 +205,7 @@ def bench_workload(workload: Workload,
 
     Each engine runs ``repeat`` times; the median wall-clock is kept
     and the min/max spread recorded.  The equivalence checks run on
-    every non-tree run against the tree-walker's result.
+    every source-engine run against the tree-walker's result.
     """
     compiler = CgcmCompiler(CgcmConfig(opt_level=level))
     report = compiler.compile_source(workload.source, workload.name)
@@ -231,10 +230,8 @@ def bench_workload(workload: Workload,
                 if gc_was_enabled:
                     gc.enable()
             results[engine] = result
-            if engine != "tree":
-                found = compare_engines(results["tree"], result)
-                if found and not mismatches:
-                    mismatches = tuple(f"{engine}: {m}" for m in found)
+            if engine != "tree" and not mismatches:
+                mismatches = compare_engines(results["tree"], result)
     tree_result = results["tree"]
     return EngineComparison(
         name=workload.name, level=level.value,

@@ -381,7 +381,7 @@ class SimClock:
         """Per-lane elapsed seconds, keyed by lane name.
 
         The engine-equivalence suite compares these dictionaries for
-        *exact* float equality between the tree-walking and compiled
+        *exact* float equality between the tree-walking and source
         engines: block-fused cost charging must be invisible down to
         the last bit of every simulated timestamp.
         """

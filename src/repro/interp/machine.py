@@ -11,22 +11,18 @@ Address spaces are strictly separate: kernels cannot touch host
 memory, host code cannot touch device memory, and kernels may not
 store pointers (a documented CGCM restriction).
 
-Three execution engines share this machine model:
+Two execution engines share this machine model:
 
 * ``engine="tree"`` -- the tree-walking interpreter in
   :meth:`Machine._execute`: the reference semantics.
-* ``engine="compiled"`` -- the closure compiler in
-  :mod:`repro.interp.codegen`: each function is translated once into
-  flat per-block lists of zero-argument closures and cached on the
-  machine.
 * ``engine="source"`` -- the source compiler in
   :mod:`repro.interp.srcgen`: each function is emitted as real Python
   source (registers as locals, blocks as a ``while``-dispatched jump
   table, typed-memoryview loads/stores), ``compile()``-d, and cached
   on the machine.
 
-Both ahead-of-time engines must be observationally *and*
-clock-for-clock indistinguishable from the tree-walker (see
+The source engine must be observationally *and* clock-for-clock
+indistinguishable from the tree-walker (see
 ``tests/interp/test_engine_equivalence.py``).
 """
 
@@ -66,7 +62,7 @@ _DIV_EXTRA = 8
 MAX_CALL_DEPTH = 256
 
 #: Engines :class:`Machine` can execute IR with.
-ENGINES = ("tree", "compiled", "source")
+ENGINES = ("tree", "source")
 
 _F32_STRUCT = struct.Struct("<f")
 
@@ -79,7 +75,7 @@ class Frame:
     def __init__(self, function: Function, frame_id: int, sp_base: int):
         self.function = function
         #: Register file; materialized by the tree-walker only (the
-        #: ahead-of-time engines keep registers in Python locals).
+        #: source engine keeps registers in Python locals).
         self.regs: Optional[Dict[Value, Union[int, float]]] = None
         self.sp_base = sp_base
         self.frame_id = frame_id
@@ -97,7 +93,7 @@ def needs_frame(fn: Function) -> bool:
     instructions register into it, and the ``declareAlloca`` runtime
     entry point resolves ``Machine.current_frame``.  Everything else
     -- including nested calls, which push their own frames -- is
-    frame-oblivious, so the ahead-of-time engines skip the frame
+    frame-oblivious, so the source engine skips the frame
     push/pop (but not the frame-id sequencing or the exit-hook
     sweep) for functions without either.
     """
@@ -154,9 +150,10 @@ class Machine:
         self._pending_cpu_ops = 0
         self._gpu_ops = 0
         #: Dynamic count of interpreted IR instructions (both engines;
-        #: the compiled engine bumps it once per basic-block entry).
+        #: the source engine bumps it once per fused straight-line run).
         self.executed_instructions = 0
-        #: Compiled-code cache: (function, mode, hooked) -> CompiledFunction.
+        #: Compiled-code cache: (function, mode, hook set) -> the
+        #: srcgen entry callable.
         self._compiled: Dict[tuple, Callable] = {}
         self.kernel_launch_count = 0
         #: Admission gate run before each launch, set by the resilient
@@ -312,14 +309,9 @@ class Machine:
         key = (fn, self._mode, tuple(self.mem_hooks))
         code = self._compiled.get(key)
         if code is None:
-            hooked = bool(self.mem_hooks)
-            if self.engine == "source":
-                from .srcgen import compile_function_source
-                code = compile_function_source(self, fn, self._mode,
-                                               hooked)
-            else:
-                from .codegen import compile_function
-                code = compile_function(self, fn, self._mode, hooked)
+            from .srcgen import compile_function_source
+            code = compile_function_source(self, fn, self._mode,
+                                           bool(self.mem_hooks))
             self._compiled[key] = code
         return code
 
@@ -594,8 +586,8 @@ class Machine:
         """Run one kernel grid with already-evaluated operands.
 
         Shared by both engines: the tree-walker evaluates the launch
-        operands through :meth:`eval`, compiled code through register
-        slots, and everything from the launch hooks onwards is
+        operands through :meth:`eval`, the source engine through
+        Python locals, and everything from the launch hooks onwards is
         identical.
         """
         if grid < 0:
@@ -670,7 +662,7 @@ class Machine:
 
     def _run_grid_compiled(self, kernel: Function, grid: int,
                            args: List[Union[int, float]]) -> int:
-        """Per-thread kernel loop for the ahead-of-time engines.
+        """Per-thread kernel loop for the source engine.
 
         Inlines the compiled-code path of :meth:`call` -- the
         per-thread bookkeeping (depth, stack pointer, frame,

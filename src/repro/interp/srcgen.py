@@ -1,12 +1,11 @@
-"""Source-compiled execution engine ("Engine v2").
+"""Source-compiled execution engine: the fast path.
 
-The closure engine (:mod:`repro.interp.codegen`) removed the
-tree-walker's isinstance dispatch but still pays one Python *call* per
-dynamic instruction plus register-list traffic around it.  This module
-goes the rest of the way down the PyCUDA run-time code-generation
-road: each IR function is translated **once per (mode, hook-set)**
-into real Python source, ``compile()``-d, ``exec``-d, and cached on
-the machine.
+The tree-walking interpreter in :mod:`repro.interp.machine` pays, for
+every dynamic instruction, an isinstance dispatch chain, per-operand
+``eval`` dispatch, and ``Dict[Value]`` register traffic.  This module
+takes the PyCUDA run-time code-generation road instead: each IR
+function is translated **once per (mode, hook-set)** into real Python
+source, ``compile()``-d, ``exec``-d, and cached on the machine.
 
 * **Registers are locals.**  Arguments unpack into ``a0..aN``,
   instruction results assign ``r0..rN``; every operand read is a
@@ -21,13 +20,13 @@ the machine.
   hot back edges scan the shortest prefix of the chain.  Single-block
   functions skip the loop entirely.
 
-* **Block-fused cost charging, split at flush points.**  Identical
-  discipline to the closure engine: the static ``_OP_COSTS`` of each
-  straight-line run are summed at compile time and emitted as one
-  ``M._pending_cpu_ops += n`` (``M._gpu_ops`` in kernels), with runs
-  split at ``call``/``launch`` -- the only instructions that can move
-  pending ops onto the :class:`~repro.gpu.timing.SimClock` -- so every
-  simulated timestamp is bit-identical to the tree-walker's.  Dynamic
+* **Block-fused cost charging, split at flush points.**  The static
+  ``_OP_COSTS`` of each straight-line run are summed at compile time
+  and emitted as one ``M._pending_cpu_ops += n`` (``M._gpu_ops`` in
+  kernels), with runs split at ``call``/``launch`` -- the only
+  instructions that can move pending ops onto the
+  :class:`~repro.gpu.timing.SimClock` -- so every simulated timestamp
+  is bit-identical to the tree-walker's.  Dynamic
   ``div``/``rem`` extras are emitted inline at their instruction.
 
 * **Memory access compiles to typed-view indexing.**  The aligned
@@ -47,6 +46,14 @@ the machine.
   per-instruction hook overhead.  Variants are cached per hook-set
   identity (see ``Machine.compiled_for``).
 
+* **Compile-time undefined-register detection.**  The structural
+  verifier only checks that every operand is defined *somewhere*;
+  :func:`check_definitions` additionally requires every reachable use
+  to be dominated by its definition, so a would-be silent garbage read
+  becomes an :class:`InterpError` before the function starts running.
+  (The tree-walker raises the equivalent error at run time, on first
+  use.)
+
 The tree-walker remains the reference semantics; the equivalence
 suites hold this engine to byte-identical observables and
 clock-for-clock equal timestamps across the workload sweep and the
@@ -58,6 +65,8 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.cfg import reverse_postorder
+from ..analysis.dominators import DominatorTree
 from ..analysis.loops import find_loops
 from ..errors import CgcmUnsupportedError, InterpError, MemoryFault
 from ..ir.function import Function
@@ -65,10 +74,10 @@ from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                                CondBranch, GetElementPtr, Instruction,
                                LaunchKernel, Load, Return, Select, Store,
                                Unreachable)
-from ..ir.types import ArrayType, FloatType, IntType, StructType
+from ..ir.types import (ArrayType, FloatType, IntType, PointerType,
+                        StructType)
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
 from ..memory.flatmem import VIEW_ACCESS, scalar_format, scalar_struct
-from .codegen import _int_params, check_definitions
 from .externals import GPU_SAFE, call_cost
 from .machine import (_DIV_EXTRA, _OP_COSTS, Frame, MAX_CALL_DEPTH,
                       needs_frame, _round_f32, _trunc_div_float,
@@ -82,6 +91,57 @@ _COMPARE_OPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
                 "gt": ">", "ge": ">="}
 _INT_BINOPS = {"add": "+", "sub": "-", "mul": "*", "and": "&",
                "or": "|", "xor": "^"}
+
+
+# Integer results are wrapped into the type's signed range inline:
+# v = raw & mask; v - span if v > hi else v.  Pointer results reuse the
+# same shape with hi = mask and span = 0, i.e. plain unsigned masking.
+
+def _int_params(type_) -> Tuple[int, int, int]:
+    if isinstance(type_, PointerType):
+        return _MASK64, _MASK64, 0
+    if type_.bits == 1:
+        return 1, 1, 0
+    mask = (1 << type_.bits) - 1
+    return mask, type_.max_value, 1 << type_.bits
+
+
+def check_definitions(fn: Function) -> None:
+    """Reject (reachable) uses not dominated by their definition.
+
+    The tree-walker discovers such reads at run time and raises
+    :class:`InterpError`; the source engine calls this up front so a
+    malformed function can never start executing half-compiled.
+    """
+    reachable = set(reverse_postorder(fn))
+    dom = DominatorTree(fn)
+    positions: Dict[Instruction, Tuple[object, int]] = {}
+    for block in fn.blocks:
+        for index, inst in enumerate(block.instructions):
+            positions[inst] = (block, index)
+    for block in fn.blocks:
+        if block not in reachable:
+            continue
+        for index, inst in enumerate(block.instructions):
+            for operand in inst.operands:
+                if not isinstance(operand, Instruction):
+                    continue
+                defined = positions.get(operand)
+                if defined is None:
+                    raise InterpError(
+                        f"@{fn.name}/{block.name}: read of undefined "
+                        f"register {operand.ref} (defined in another "
+                        "function)")
+                def_block, def_index = defined
+                if def_block is block:
+                    ok = def_index < index
+                else:
+                    ok = dom.dominates(def_block, block)
+                if not ok:
+                    raise InterpError(
+                        f"@{fn.name}/{block.name}: read of register "
+                        f"{operand.ref} whose definition does not "
+                        "dominate the use (undefined on some path)")
 
 
 def _make_slow_load(memory, codec, i1: bool):

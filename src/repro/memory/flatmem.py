@@ -13,8 +13,8 @@ coexist:
 * **Legacy struct codecs** -- per-width :class:`struct.Struct`
   instances built once at import time; ``unpack_from``/``pack_into``
   avoid intermediate ``bytes`` copies.  This is the reference path
-  (tree-walker, closure engine, and every unaligned or growing
-  access).
+  (tree-walker, and the source engine's unaligned or growing
+  accesses).
 * **Typed memoryview segments** -- each segment additionally exposes
   zero-copy ``memoryview.cast`` views of its backing bytearray, one
   per scalar width, so an aligned in-bounds access is a single typed
@@ -320,7 +320,7 @@ class FlatMemory:
     def scalar_span(self, address: int, size: int) -> tuple:
         """(segment, offset) for a bounds-checked ``size``-byte access.
 
-        Shared with the compiled engines, which bake the codec and
+        Shared with the source engine, which bakes the codec and
         size at compile time and need only the located span.
         """
         segment = self._cached_segment

@@ -73,7 +73,7 @@ class DifferentialReport:
 def run_differential(source: str, name: str = "program",
                      level: OptLevel = OptLevel.OPTIMIZED,
                      cost_model: Optional[CostModel] = None,
-                     engine: str = "compiled") -> DifferentialReport:
+                     engine: str = "source") -> DifferentialReport:
     """Compile ``source`` once per side and compare the two runs."""
     if level == OptLevel.SEQUENTIAL:
         raise ValueError(
@@ -109,7 +109,7 @@ def run_differential(source: str, name: str = "program",
 
 def run_differential_workload(workload, level: OptLevel = OptLevel.OPTIMIZED,
                               cost_model: Optional[CostModel] = None,
-                              engine: str = "compiled"
+                              engine: str = "source"
                               ) -> DifferentialReport:
     """Differential run of a named benchmark (or a Workload object)."""
     if not isinstance(workload, Workload):

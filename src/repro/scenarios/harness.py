@@ -11,7 +11,7 @@ oracle     sequential run reproduces the pure-Python CPU reference
            stdout exactly, and exits 0
 levels     sequential == unoptimized == optimized observables,
            byte for byte
-engines    tree-walker == compiled == source engines: observables
+engines    tree-walker == source engine: observables
            *and* modelled clocks (cpu/gpu/comm/critical-path/
            instructions) identical
 streams    streams-on == streams-off observables
@@ -153,23 +153,21 @@ def check_source(source: str, name: str = "scenario",
 
     def check_engines() -> Optional[str]:
         tree = optimized.run(engine="tree")
-        for engine in ("compiled", "source"):
-            other = optimized.run(engine=engine)
-            if tree.observable() != other.observable():
-                return _diff(f"tree vs {engine} observables",
-                             tree.observable(), other.observable())
-            if _clocks(tree) != _clocks(other):
-                return _diff(f"tree vs {engine} clocks", _clocks(tree),
-                             _clocks(other))
+        other = optimized.run(engine="source")
+        if tree.observable() != other.observable():
+            return _diff("tree vs source observables",
+                         tree.observable(), other.observable())
+        if _clocks(tree) != _clocks(other):
+            return _diff("tree vs source clocks", _clocks(tree),
+                         _clocks(other))
         if slow:
             unopt = compile_workload(
                 source, CgcmConfig(opt_level=OptLevel.UNOPTIMIZED), name)
             t = unopt.run(engine="tree")
-            for engine in ("compiled", "source"):
-                o = unopt.run(engine=engine)
-                if t.observable() != o.observable() \
-                        or _clocks(t) != _clocks(o):
-                    return f"tree vs {engine} diverged at unoptimized"
+            o = unopt.run(engine="source")
+            if t.observable() != o.observable() \
+                    or _clocks(t) != _clocks(o):
+                return "tree vs source diverged at unoptimized"
         return None
 
     def check_streams() -> Optional[str]:

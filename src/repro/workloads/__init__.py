@@ -6,6 +6,7 @@ wall-clock, not shape).  Access them by name via :func:`get_workload`
 or iterate :data:`ALL_WORKLOADS`.
 """
 
+from ..errors import UnknownWorkloadError
 from .data import PaperRow, Workload
 from .polybench import POLYBENCH
 from .rodinia import RODINIA
@@ -22,8 +23,8 @@ def get_workload(name: str) -> Workload:
         return _BY_NAME[name]
     except KeyError:
         known = ", ".join(sorted(_BY_NAME))
-        raise KeyError(f"unknown workload {name!r}; known: {known}") \
-            from None
+        raise UnknownWorkloadError(
+            f"unknown workload {name!r}; known: {known}") from None
 
 
 def workload_names() -> tuple:

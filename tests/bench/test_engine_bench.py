@@ -3,7 +3,11 @@
 Divergence between the engines always fails.  The speedup floor is
 asserted only outside CI (``CI`` env var unset): shared runners are
 too noisy to gate on raw speed, but the checked-in
-``BENCH_interp.json`` records the measured result.
+``BENCH_interp.json`` records the measured result.  The sweep here is
+a single repeat, so its report goes to a temporary file unless
+``BENCH_OUT`` names one (CI uploads it as an artifact); the committed
+trajectory is only ever written by ``python -m repro bench`` with at
+least three repeats.
 """
 
 import json
@@ -15,9 +19,6 @@ from repro.core.config import OptLevel
 from repro.evaluation.bench import BENCH_SCHEMA, run_engine_bench
 
 pytestmark = pytest.mark.bench
-
-#: Written for the CI artifact upload (repo root when run from there).
-BENCH_OUT = os.environ.get("BENCH_OUT", "BENCH_interp.json")
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +33,13 @@ def test_no_engine_divergence(sweep):
     assert len(sweep.comparisons) == 24
 
 
-def test_report_is_written(sweep):
-    sweep.write(BENCH_OUT)
-    with open(BENCH_OUT) as handle:
+def test_report_is_written(sweep, tmp_path):
+    out = os.environ.get("BENCH_OUT") or str(tmp_path / "BENCH_interp.json")
+    sweep.write(out)
+    with open(out) as handle:
         payload = json.load(handle)
     assert payload["schema"] == BENCH_SCHEMA
+    assert payload["engines"] == ["tree", "source"]
     assert len(payload["workloads"]) == 24
     assert payload["geomean_speedup"] > 0
 
@@ -45,7 +48,4 @@ def test_speedup_floor(sweep):
     if os.environ.get("CI"):
         pytest.skip("raw speed never gates CI; see BENCH_interp.json "
                     "artifact")
-    # Source engine headline; the closure engine rides along as a
-    # sanity floor so a silent fallback to it still fails loudly.
     assert sweep.geomean_speedup >= 8.0, sweep.render()
-    assert sweep.geomean_of("compiled") >= 3.0, sweep.render()

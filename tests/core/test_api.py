@@ -57,8 +57,8 @@ class TestCompileWorkload:
     def test_engine_override_per_run(self):
         workload = api.compile_workload(PROGRAM)
         tree = workload.run(engine="tree")
-        compiled = workload.run(engine="compiled")
-        assert tree.observable() == compiled.observable()
+        source = workload.run(engine="source")
+        assert tree.observable() == source.observable()
 
     def test_lint_report(self):
         report = api.compile_workload(PROGRAM).lint()

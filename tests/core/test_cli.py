@@ -83,9 +83,54 @@ class TestListAndBench:
         assert "atax" in out
         assert "Comm." in out
 
-    def test_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
-            main(["bench", "not-a-workload"])
+    def test_unknown_workload_exits_2(self, capsys):
+        assert main(["bench", "not-a-workload"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: unknown workload 'not-a-workload'")
+        assert len(err.splitlines()) == 1
+
+
+def exit_code(argv):
+    """``main``'s exit code, including argparse's ``SystemExit``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestExitCodes:
+    """Every CLI failure is one ``repro:`` line and a documented code."""
+
+    FILES = {
+        "bad.c": "int main(void) { return 0 }\n",
+        "divzero.c": "long z;\n"
+                     "int main(void) { print_i64(10 / z); return 0; }\n",
+    }
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["run", "cfd"], 0, id="workload-name"),
+        pytest.param(["run", "{dir}/bad.c"], 2, id="syntax-error"),
+        pytest.param(["emit-ir", "{dir}/missing.c"], 2, id="missing-file"),
+        pytest.param(["sanitize", "no-such-workload"], 2,
+                     id="unknown-workload"),
+        pytest.param(["run", "cfd", "--engine", "compiled"], 2,
+                     id="retired-engine"),
+        pytest.param(["run", "{dir}/divzero.c"], 3, id="runtime-error"),
+        pytest.param(["bench", "--repeat", "1",
+                      "--out", "{dir}/BENCH_interp.json"], 2,
+                     id="noisy-committed-bench"),
+    ])
+    def test_exit_code(self, argv, code, tmp_path, capsys):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert exit_code(argv) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("repro: ")
+            assert len(err.splitlines()) == 1, err
 
 
 class TestCacheStats:

@@ -16,11 +16,13 @@ def plan(**kwargs):
 
 class TestEngineValidation:
     def test_unknown_engine(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            CgcmConfig(engine="jit")
+        # "compiled" named the retired closure engine.
+        for engine in ("jit", "compiled"):
+            with pytest.raises(ConfigError, match="unknown engine"):
+                CgcmConfig(engine=engine)
 
     def test_known_engines(self):
-        for engine in ("tree", "compiled"):
+        for engine in ("tree", "source"):
             assert CgcmConfig(engine=engine).engine == engine
 
 

@@ -1,11 +1,10 @@
-"""Engine equivalence: all three engines must agree with the tree.
+"""Engine equivalence: every fast engine must agree with the tree.
 
-The compiled engines (closure and source codegen) exist only for
-speed; any observable difference -- stdout, exit code, final global
-bytes, dynamic instruction count, or a single bit of any
-simulated-clock lane -- is a bug.  The fast subset runs in tier-1;
-the full 24-workload sweep and the 25-program fuzz corpus are
-``slow``.
+The source codegen engine exists only for speed; any observable
+difference -- stdout, exit code, final global bytes, dynamic
+instruction count, or a single bit of any simulated-clock lane -- is
+a bug.  The fast subset runs in tier-1; the full 24-workload sweep
+and the 25-program fuzz corpus are ``slow``.
 """
 
 import pytest
@@ -18,7 +17,7 @@ from repro.workloads import ALL_WORKLOADS, get_workload, workload_names
 FAST_WORKLOADS = ("atax", "nw", "kmeans", "blackscholes")
 
 #: Engines held to the tree-walker oracle.
-FAST_ENGINES = ("compiled", "source")
+FAST_ENGINES = ("source",)
 
 
 def engine_results(name: str, level: OptLevel):
@@ -61,7 +60,7 @@ def test_engines_identical_unoptimized(name):
 @pytest.mark.slow
 @pytest.mark.parametrize("index", range(25))
 def test_engines_identical_fuzz_corpus(index):
-    """25 generator programs, clock-for-clock across all engines.
+    """25 generator programs, clock-for-clock against the tree.
 
     The fuzz generator reaches IR shapes the workloads do not
     (degenerate loops, dead blocks, deep conditional ladders), so it
@@ -84,7 +83,7 @@ def test_engines_identical_fuzz_corpus(index):
 def test_sanitizer_armed_subset(name, engine):
     """Hook-compiled variants keep the sanitizer's view identical.
 
-    All engines execute the *same* compiled module: recompiling per
+    Both engines execute the *same* compiled module: recompiling per
     engine may legally reorder instructions, which shifts the int
     partition at clock flushes and the exact-float comparison with it.
     """

@@ -267,7 +267,8 @@ class TestActiveMemoryCache:
             machine.memory.load_scalar(device_addr, I64)
 
     def test_undefined_register_read_raises(self):
-        """Tree-walker runtime guard (see also test_codegen.py)."""
+        """Tree-walker runtime guard (the source engine rejects the
+        same function at compile time; see test_srcgen.py)."""
         from repro.ir import FunctionType, I64, IRBuilder, Module
         module = Module("m")
         fn = module.add_function("main", FunctionType(I64, []))

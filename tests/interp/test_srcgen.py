@@ -1,8 +1,7 @@
 """Source-engine unit tests: emission, caching, hook variants.
 
-Mirrors ``test_codegen.py`` for the srcgen engine and adds the
-compiled-cache keying regression: a sanitizer-armed run must never
-reuse an unhooked compiled body, and vice versa.
+Includes the compiled-cache keying regression: a sanitizer-armed run
+must never reuse an unhooked compiled body, and vice versa.
 """
 
 import pytest
@@ -74,9 +73,8 @@ class TestCompiledCacheKeying:
         }
     """
 
-    @pytest.mark.parametrize("engine", ("compiled", "source"))
-    def test_armed_run_never_reuses_unhooked_body(self, engine):
-        machine = Machine(compile_minic(self.SOURCE), engine=engine)
+    def test_armed_run_never_reuses_unhooked_body(self):
+        machine = Machine(compile_minic(self.SOURCE), engine="source")
         fn = machine.module.get_function("main")
         unhooked = machine.compiled_for(fn)
         assert not unhooked.hooked
@@ -89,9 +87,8 @@ class TestCompiledCacheKeying:
         disarmed = machine.compiled_for(fn)
         assert disarmed is unhooked and not disarmed.hooked
 
-    @pytest.mark.parametrize("engine", ("compiled", "source"))
-    def test_distinct_hook_sets_get_distinct_variants(self, engine):
-        machine = Machine(compile_minic(self.SOURCE), engine=engine)
+    def test_distinct_hook_sets_get_distinct_variants(self):
+        machine = Machine(compile_minic(self.SOURCE), engine="source")
         fn = machine.module.get_function("main")
         first_hook = lambda *a: None  # noqa: E731
         second_hook = lambda *a: None  # noqa: E731

@@ -146,18 +146,18 @@ class TestEquivalence:
         assert report.clean, [f.render() for f in report.findings]
 
     def test_engines_agree_under_streams(self):
-        """Tree and compiled engines produce identical observables and
+        """Tree and source engines produce identical observables and
         identical stream schedules."""
         results = {}
-        for engine in ("tree", "compiled"):
+        for engine in ("tree", "source"):
             compiler = CgcmCompiler(CgcmConfig(
                 opt_level=OptLevel.OPTIMIZED, streams=True, engine=engine))
             report = compiler.compile_source(TWO_ARRAYS, engine)
             results[engine] = compiler.execute(report)
-        tree, compiled = results["tree"], results["compiled"]
-        assert tree.observable() == compiled.observable()
-        assert tree.critical_path_seconds == compiled.critical_path_seconds
-        assert tree.total_seconds == compiled.total_seconds
+        tree, source = results["tree"], results["source"]
+        assert tree.observable() == source.observable()
+        assert tree.critical_path_seconds == source.critical_path_seconds
+        assert tree.total_seconds == source.total_seconds
 
 
 class TestSyncBarrier:

@@ -24,13 +24,26 @@ class IRParseError(IRError):
 
 
 class FrontendError(ReproError):
-    """A MiniC source program failed to lex, parse, or type-check."""
+    """A MiniC source program failed to lex, parse, or type-check.
+
+    Renders as ``name:line:column: message``; ``name`` is the source's
+    name (attached by :func:`repro.frontend.compile_minic`), and each
+    location part is left out when unknown.
+    """
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
-        location = f"{line}:{column}: " if line else ""
-        super().__init__(f"{location}{message}")
+        super().__init__(message)
+        self.message = message
         self.line = line
         self.column = column
+        self.name = ""
+
+    def __str__(self) -> str:
+        location = [self.name] if self.name else []
+        if self.line:
+            location += [str(self.line), str(self.column)]
+        prefix = ":".join(location)
+        return f"{prefix}: {self.message}" if prefix else self.message
 
 
 class MemoryFault(ReproError):

@@ -873,10 +873,17 @@ class MiniCLowering:
 
 
 def compile_minic(source: str, module_name: str = "minic") -> Module:
-    """Front door: MiniC source text -> verified IR module."""
+    """Front door: MiniC source text -> verified IR module.
+
+    A :class:`FrontendError` names the source by ``module_name``.
+    """
     from ..ir import verify_module
 
-    program = parse_minic(source)
-    module = MiniCLowering(program, module_name).run()
+    try:
+        program = parse_minic(source)
+        module = MiniCLowering(program, module_name).run()
+    except FrontendError as exc:
+        exc.name = module_name
+        raise
     verify_module(module)
     return module

@@ -235,90 +235,67 @@ class GpuDevice:
 
     # -- transfers ------------------------------------------------------------
 
-    def _maybe_transfer_fault(self, direction: str, address: int,
-                              size: int) -> None:
-        """Raise an injected :class:`GpuTransferError` for one copy.
+    def _copy(self, event: DriverEvent, device_address: int, size: int,
+              move: Callable[[], object], stream: Optional[str] = None,
+              after: Iterable[float] = ()) -> tuple:
+        """One ``cuMemcpy*`` of ``size`` bytes; every copy entry point
+        goes through here.  Returns ``(move(), finish)``.
 
-        Checked before any byte moves and before observers fire: a
-        failed copy has no data effect.  The aborted bus transaction
-        still costs the fixed transfer latency.
+        An injected bus fault is raised before ``move`` runs and before
+        observers fire: a failed copy has no data effect, but the
+        aborted bus transaction still costs the fixed transfer
+        latency.  Otherwise ``move`` transfers the bytes and the
+        transfer time is charged: blocking on :attr:`comm_lane`, or --
+        with a ``stream`` -- scheduled on it after ``after``, in which
+        case ``finish`` is the span's finish time (else None).
         """
-        if self.fault_injector is None \
-                or not self.fault_injector.transfer_fault(direction):
-            return
-        self.clock.advance(LANE_COMM, self.clock.model.transfer_latency_s,
-                           f"{direction} fault")
-        self.clock.count("injected_transfer_faults")
-        raise GpuTransferError(
-            f"cuMemcpy{'HtoD' if direction == 'htod' else 'DtoH'} of "
-            f"{size} bytes at {address:#x} failed (injected bus fault); "
-            "no data was transferred", address=address, size=size)
+        clock = self.clock
+        kind = "HtoD" if event is DriverEvent.HTOD else "DtoH"
+        if self.fault_injector is not None \
+                and self.fault_injector.transfer_fault(event.value):
+            clock.advance(LANE_COMM, clock.model.transfer_latency_s,
+                          f"{event.value} fault")
+            clock.count("injected_transfer_faults")
+            raise GpuTransferError(
+                f"cuMemcpy{kind} of {size} bytes at {device_address:#x} "
+                "failed (injected bus fault); no data was transferred",
+                address=device_address, size=size)
+        result = move()
+        seconds = clock.model.transfer_time(size)
+        label = f"{kind} {size}B"
+        finish = None
+        if stream is None:
+            clock.advance(self.comm_lane, seconds, label)
+        else:
+            finish = clock.schedule(self.comm_lane, seconds, stream, label,
+                                    after=after)
+        clock.count(f"{event.value}_copies")
+        clock.count(f"{event.value}_bytes", size)
+        if self.observers:
+            self._notify(event, device_address, size)
+        return result, finish
 
     def memcpy_htod(self, device_address: int, data: bytes) -> None:
         """``cuMemcpyHtoD``: copy host bytes into device memory."""
-        if self.fault_injector is not None:
-            self._maybe_transfer_fault("htod", device_address, len(data))
-        self.memory.write(device_address, data)
-        self.clock.advance(self.comm_lane,
-                           self.clock.model.transfer_time(len(data)),
-                           f"HtoD {len(data)}B")
-        self.clock.count("htod_copies")
-        self.clock.count("htod_bytes", len(data))
-        if self.observers:
-            self._notify(DriverEvent.HTOD, device_address, len(data))
-
-    def memcpy_dtoh(self, device_address: int, size: int) -> bytes:
-        """``cuMemcpyDtoH``: copy device bytes back to the host."""
-        if self.fault_injector is not None:
-            self._maybe_transfer_fault("dtoh", device_address, size)
-        data = self.memory.read(device_address, size)
-        self.clock.advance(self.comm_lane, self.clock.model.transfer_time(size),
-                           f"DtoH {size}B")
-        self.clock.count("dtoh_copies")
-        self.clock.count("dtoh_bytes", size)
-        if self.observers:
-            self._notify(DriverEvent.DTOH, device_address, size)
-        return data
+        self._copy(DriverEvent.HTOD, device_address, len(data),
+                   lambda: self.memory.write(device_address, data))
 
     def memcpy_htod_from(self, device_address: int, host_memory,
                          host_address: int, size: int) -> None:
-        """``cuMemcpyHtoD`` straight out of a host address space.
-
-        Identical semantics (and modelled cost) to
-        :meth:`memcpy_htod`, but the bytes move segment-to-segment via
-        :func:`~repro.memory.flatmem.copy_across` -- one slice
-        assignment instead of materializing an intermediate ``bytes``
-        payload on the host side.
-        """
-        if self.fault_injector is not None:
-            self._maybe_transfer_fault("htod", device_address, size)
-        copy_across(host_memory, host_address,
-                    self.memory, device_address, size)
-        self.clock.advance(self.comm_lane,
-                           self.clock.model.transfer_time(size),
-                           f"HtoD {size}B")
-        self.clock.count("htod_copies")
-        self.clock.count("htod_bytes", size)
-        if self.observers:
-            self._notify(DriverEvent.HTOD, device_address, size)
+        """``cuMemcpyHtoD`` straight out of a host address space: the
+        bytes move segment-to-segment via
+        :func:`~repro.memory.flatmem.copy_across`, without an
+        intermediate ``bytes`` payload."""
+        self._copy(DriverEvent.HTOD, device_address, size,
+                   lambda: copy_across(host_memory, host_address,
+                                       self.memory, device_address, size))
 
     def memcpy_dtoh_into(self, device_address: int, size: int,
                          host_memory, host_address: int) -> None:
-        """``cuMemcpyDtoH`` straight into a host address space.
-
-        Identical semantics (and modelled cost) to
-        :meth:`memcpy_dtoh`, minus the staging ``bytes`` object.
-        """
-        if self.fault_injector is not None:
-            self._maybe_transfer_fault("dtoh", device_address, size)
-        copy_across(self.memory, device_address,
-                    host_memory, host_address, size)
-        self.clock.advance(self.comm_lane, self.clock.model.transfer_time(size),
-                           f"DtoH {size}B")
-        self.clock.count("dtoh_copies")
-        self.clock.count("dtoh_bytes", size)
-        if self.observers:
-            self._notify(DriverEvent.DTOH, device_address, size)
+        """``cuMemcpyDtoH`` straight into a host address space."""
+        self._copy(DriverEvent.DTOH, device_address, size,
+                   lambda: copy_across(self.memory, device_address,
+                                       host_memory, host_address, size))
 
     def memcpy_htod_async(self, device_address: int, data: bytes,
                           stream: str = STREAM_H2D,
@@ -331,15 +308,9 @@ class GpuDevice:
         modelled transfer time is scheduled on ``stream``.  Returns
         the span's finish time for use as an event.
         """
-        self.memory.write(device_address, data)
-        finish = self.clock.schedule(
-            self.comm_lane, self.clock.model.transfer_time(len(data)), stream,
-            f"HtoD {len(data)}B", after=after)
-        self.clock.count("htod_copies")
-        self.clock.count("htod_bytes", len(data))
-        if self.observers:
-            self._notify(DriverEvent.HTOD, device_address, len(data))
-        return finish
+        return self._copy(DriverEvent.HTOD, device_address, len(data),
+                          lambda: self.memory.write(device_address, data),
+                          stream, after)[1]
 
     def memcpy_dtoh_async(self, device_address: int, size: int,
                           stream: str = STREAM_D2H,
@@ -351,15 +322,9 @@ class GpuDevice:
         kernel's finish time via ``after`` so the modelled span cannot
         start before its producer completes.
         """
-        data = self.memory.read(device_address, size)
-        finish = self.clock.schedule(
-            self.comm_lane, self.clock.model.transfer_time(size), stream,
-            f"DtoH {size}B", after=after)
-        self.clock.count("dtoh_copies")
-        self.clock.count("dtoh_bytes", size)
-        if self.observers:
-            self._notify(DriverEvent.DTOH, device_address, size)
-        return data, finish
+        return self._copy(DriverEvent.DTOH, device_address, size,
+                          lambda: self.memory.read(device_address, size),
+                          stream, after)
 
     # -- kernel launch ---------------------------------------------------------
 

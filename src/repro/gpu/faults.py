@@ -1,9 +1,9 @@
 """Deterministic fault injection for the simulated GPU driver.
 
-The resilience subsystem (`repro.resilience`) needs to exercise driver
-failure paths reproducibly: the same seed must produce the same fault
-schedule on every run, or the chaos sweep's byte-identical-observables
-check would be meaningless.  A :class:`FaultPlan` describes *what* can
+The resilience subsystem (in ``runtime/cgcm.py``) needs to exercise
+driver failure paths reproducibly: the same seed must produce the same
+fault schedule on every run, or the chaos sweep's
+byte-identical-observables check would be meaningless.  A :class:`FaultPlan` describes *what* can
 fail and how often; a :class:`FaultInjector` turns the plan into
 per-call verdicts using one seeded PRNG.
 

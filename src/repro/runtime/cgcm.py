@@ -172,10 +172,11 @@ class CgcmRuntime:
         if self.streams:
             machine.mem_hooks.append(self._guard_mem)
             self._wrap_memory_externals()
-        #: Resilience subsystem (repro.resilience): armed whenever the
-        #: device can fail (fault injector or heap cap).  The runtime
-        #: then owns the machine's launch gate, an LRU of evictable
-        #: units, and a device-address index for reverse translation.
+        #: Resilience subsystem (the section of that name below): armed
+        #: whenever the device can fail (fault injector or heap cap).
+        #: The runtime then owns the machine's launch gate, an LRU of
+        #: evictable units, and a device-address index for reverse
+        #: translation.
         self.resilient = (machine.device.fault_injector is not None
                           or machine.device.heap_limit is not None)
         #: Multi-GPU coordinator (repro.multigpu) when the execution
@@ -379,24 +380,53 @@ class CgcmRuntime:
             hook(stage, op, ptr, info)
 
     # -- Algorithm 1: map -------------------------------------------------------
+    #
+    # Each operation has one body.  The only step that depends on the
+    # discipline is the copy (``_upload``/``_writeback``): blocking, or
+    # -- when the call is async and ``streams`` is on -- issued on a
+    # stream.  Under the serial discipline an async entry point is its
+    # synchronous twin.
 
     def map_ptr(self, ptr: int) -> int:
+        return self._map(ptr, array=False, stream=False)
+
+    def map_ptr_async(self, ptr: int) -> int:
+        """Prefetching ``map``: the HtoD copy is issued on the h2d
+        stream without blocking the host.  A later launch orders itself
+        after the copy via the stream cursor (see
+        ``Machine.launch_evaluated``)."""
+        return self._map(ptr, array=False, stream=self.streams)
+
+    def map_array(self, ptr: int) -> int:
+        return self._map(ptr, array=True, stream=False)
+
+    def map_array_async(self, ptr: int) -> int:
+        """Asynchronous :meth:`map_array`: elements prefetch through
+        :meth:`map_ptr_async`, then the translated pointer array is
+        itself copied on the h2d stream."""
+        return self._map(ptr, array=True, stream=self.streams)
+
+    def _map(self, ptr: int, array: bool, stream: bool) -> int:
+        """``map`` or, with ``array``, ``mapArray``: the device copy of
+        a pointer-array unit is its elements' translated pointers."""
         info = self.lookup(ptr)
         if self.op_hooks:
             self._notify("pre", "map", ptr, info)
         if info.ref_count == 0:
-            if not info.is_global:
-                if self.resilient:
-                    self._alloc_device(info)
-                else:
-                    info.device_ptr = self.device.mem_alloc(info.size)
-            else:
+            payload = self._map_elements(info, stream) if array else None
+            if info.is_global:
                 info.device_ptr = self.device.module_get_global(info.name)
                 info.resident = True
+            elif self.resilient:
+                self._alloc_device(info)
+            else:
+                info.device_ptr = self.device.mem_alloc(info.size)
             self.machine.flush_cpu()
-            if info.resident:
-                if not self._shared_attach(ptr, info):
-                    self._htod_from(info.device_ptr, info.base, info.size)
+            # Cross-request sharing elides a blocking copy only; an
+            # async map always issues its own.
+            if stream or (info.resident
+                          and not self._shared_attach(ptr, info)):
+                self._upload(info, payload, stream)
             info.epoch = self.global_epoch
             info.needs_refresh = False
             self._track_device(info)
@@ -407,6 +437,21 @@ class CgcmRuntime:
         if self.op_hooks:
             self._notify("post", "map", ptr, info)
         return info.device_ptr + (ptr - info.base)
+
+    def _map_elements(self, info: AllocationInfo, stream: bool) -> bytes:
+        """Map every element of a pointer-array unit and mark the unit
+        an array; returns the translated pointer array."""
+        elements = self._read_pointer_array(info)
+        for element in elements:
+            if element and self.lookup(element).is_array:
+                raise CgcmUnsupportedError(
+                    "pointers with three or more degrees of indirection "
+                    "are not supported (CGCM restriction, paper section "
+                    "2.3)")
+        map_element = self.map_ptr_async if stream else self.map_ptr
+        translated = [map_element(e) if e else 0 for e in elements]
+        info.is_array = True
+        return struct.pack(f"<{len(translated)}Q", *translated)
 
     def _shared_attach(self, ptr: int, info: AllocationInfo) -> bool:
         """Cross-request sharing fast path for one first-map HtoD copy.
@@ -437,29 +482,47 @@ class CgcmRuntime:
     # -- Algorithm 2: unmap -----------------------------------------------------
 
     def unmap_ptr(self, ptr: int) -> None:
+        self._unmap(ptr, stream=False)
+
+    def unmap_ptr_async(self, ptr: int) -> None:
+        """Deferred-write-back ``unmap``: the DtoH copy is issued on
+        the d2h stream and registered so any CPU access of the host
+        region synchronizes first."""
+        self._unmap(ptr, stream=self.streams)
+
+    def unmap_array(self, ptr: int) -> None:
+        self._unmap_array(ptr, stream=False)
+
+    def unmap_array_async(self, ptr: int) -> None:
+        """Asynchronous :meth:`unmap_array`: every element's
+        write-back is deferred through :meth:`unmap_ptr_async`."""
+        self._unmap_array(ptr, stream=self.streams)
+
+    def _unmap(self, ptr: int, stream: bool) -> None:
         info = self.lookup(ptr)
         if self.op_hooks:
             self._notify("pre", "unmap", ptr, info)
-        if info.epoch == self.global_epoch or info.is_read_only:
-            if self.op_hooks:
-                self._notify("post", "unmap", ptr, info)
-            return
-        if not info.resident or info.needs_refresh:
+        if info.epoch != self.global_epoch and not info.is_read_only:
             # Resilience invariant: a non-resident (evicted/sentinel)
             # or CPU-fallback-written unit's host bytes are already
             # authoritative; there is nothing newer to copy back.
+            if info.resident and not info.needs_refresh:
+                if info.device_ptr is None:
+                    raise CgcmRuntimeError(
+                        f"unmap of {ptr:#x}: allocation unit has no "
+                        "device copy")
+                self.machine.flush_cpu()
+                self._writeback(info, stream)
             info.epoch = self.global_epoch
-            if self.op_hooks:
-                self._notify("post", "unmap", ptr, info)
-            return
-        if info.device_ptr is None:
-            raise CgcmRuntimeError(
-                f"unmap of {ptr:#x}: allocation unit has no device copy")
-        self.machine.flush_cpu()
-        self._dtoh_into(info.device_ptr, info.size, info.base)
-        info.epoch = self.global_epoch
         if self.op_hooks:
             self._notify("post", "unmap", ptr, info)
+
+    def _unmap_array(self, ptr: int, stream: bool) -> None:
+        info = self.lookup(ptr)
+        unmap_element = self.unmap_ptr_async if stream else self.unmap_ptr
+        for element in self._read_pointer_array(info):
+            if element:
+                unmap_element(element)
 
     # -- Algorithm 3: release ---------------------------------------------------
 
@@ -490,56 +553,9 @@ class CgcmRuntime:
         if self.op_hooks:
             self._notify("post", "release", ptr, info)
 
-    # -- array (doubly indirect) variants ----------------------------------------
-
     def _read_pointer_array(self, info: AllocationInfo) -> List[int]:
         return self.machine.cpu_memory.read_u64_array(
             info.base, info.size // 8)
-
-    def map_array(self, ptr: int) -> int:
-        info = self.lookup(ptr)
-        if self.op_hooks:
-            self._notify("pre", "map", ptr, info)
-        if info.ref_count == 0:
-            elements = self._read_pointer_array(info)
-            for element in elements:
-                if element:
-                    depth_guard = self.lookup(element)
-                    if depth_guard.is_array:
-                        raise CgcmUnsupportedError(
-                            "pointers with three or more degrees of "
-                            "indirection are not supported (CGCM "
-                            "restriction, paper section 2.3)")
-            translated = [self.map_ptr(e) if e else 0 for e in elements]
-            if not info.is_global:
-                if self.resilient:
-                    self._alloc_device(info)
-                else:
-                    info.device_ptr = self.device.mem_alloc(info.size)
-            else:
-                info.device_ptr = self.device.module_get_global(info.name)
-                info.resident = True
-            self.machine.flush_cpu()
-            if info.resident:
-                payload = struct.pack(f"<{len(translated)}Q", *translated)
-                self._htod(info.device_ptr, payload)
-            info.epoch = self.global_epoch
-            info.needs_refresh = False
-            info.is_array = True
-            self._track_device(info)
-        elif self.resilient and not info.is_global:
-            self._touch(info)
-        info.ref_count += 1
-        assert info.device_ptr is not None
-        if self.op_hooks:
-            self._notify("post", "map", ptr, info)
-        return info.device_ptr + (ptr - info.base)
-
-    def unmap_array(self, ptr: int) -> None:
-        info = self.lookup(ptr)
-        for element in self._read_pointer_array(info):
-            if element:
-                self.unmap_ptr(element)
 
     def release_array(self, ptr: int) -> None:
         info = self.lookup(ptr)
@@ -555,7 +571,94 @@ class CgcmRuntime:
             info.is_array = False
         self.release_ptr(ptr)
 
-    # -- resilience subsystem (repro.resilience) ----------------------------------
+    # -- the copy step -----------------------------------------------------------
+
+    def _upload(self, info: AllocationInfo, payload: Optional[bytes],
+                stream: bool) -> None:
+        """Copy ``payload`` -- or, when None, the unit's host bytes --
+        to the unit's device copy.
+
+        Blocking, riding out injected bus faults; or, with ``stream``,
+        issued on the unit's h2d stream after any pending write-back
+        of the unit, with the finish noted for the multi-GPU
+        coordinator.
+        """
+        device = self.device
+        if stream:
+            if payload is None:
+                payload = self.machine.cpu_memory.read(info.base, info.size)
+            finish = device.memcpy_htod_async(
+                info.device_ptr, payload, self._h2d_stream(info),
+                after=self._writeback_deps(info))
+            if self.multigpu is not None:
+                self.multigpu.note_htod(info, finish)
+        elif payload is None:
+            self._retry(device.memcpy_htod_from, info.device_ptr,
+                        self.machine.cpu_memory, info.base, info.size)
+        else:
+            self._retry(device.memcpy_htod, info.device_ptr, payload)
+
+    def _writeback(self, info: AllocationInfo, stream: bool) -> None:
+        """Copy the unit's device copy back to its host bytes.
+
+        Blocking, riding out injected bus faults; or, with ``stream``,
+        issued on the unit's d2h stream after every launch so far
+        (compute-stream event) and the gather that completed its home
+        copy, and registered as pending so any CPU access of the host
+        region synchronizes first.
+        """
+        device = self.device
+        host_memory = self.machine.cpu_memory
+        if not stream:
+            self._retry(device.memcpy_dtoh_into, info.device_ptr,
+                        info.size, host_memory, info.base)
+            return
+        deps = (self.machine.clock.event_record(STREAM_COMPUTE),)
+        if self.multigpu is not None:
+            deps += self.multigpu.unmap_deps(info)
+        data, finish = device.memcpy_dtoh_async(
+            info.device_ptr, info.size, self._d2h_stream(info), after=deps)
+        host_memory.write(info.base, data)
+        self._pending_writebacks[info.base] = (info.end, finish)
+
+    def _writeback_deps(self, info: AllocationInfo) -> tuple:
+        """Event edge for re-mapping a unit whose previous device copy
+        is still being written back: the fresh HtoD must not start
+        before the old DtoH finished (the host bytes it transfers are
+        final only then).  Retires the unit's pending entry."""
+        pending = self._pending_writebacks.pop(info.base, None)
+        if pending is None:
+            return ()
+        return (pending[1],)
+
+    def _h2d_stream(self, info: AllocationInfo) -> str:
+        """Upload stream for one unit: the well-known ``h2d`` stream,
+        or -- under a multi-device topology -- the h2d stream of the
+        device the unit is homed on, so uploads bound for different
+        devices overlap each other."""
+        if self.multigpu is not None:
+            return self.multigpu.h2d_stream(info)
+        return STREAM_H2D
+
+    def _d2h_stream(self, info: AllocationInfo) -> str:
+        """Write-back stream for one unit (see :meth:`_h2d_stream`)."""
+        if self.multigpu is not None:
+            return self.multigpu.d2h_stream(info)
+        return STREAM_D2H
+
+    def _retry(self, call: Callable, *args, error: type = GpuTransferError,
+               lane: str = LANE_COMM):
+        """``call(*args)``, riding out injected driver faults: each of
+        the first ``MAX_FAULT_RETRIES`` failures (``error``) is retried
+        after a modelled backoff on ``lane``; the next one propagates."""
+        for _ in range(MAX_FAULT_RETRIES):
+            try:
+                return call(*args)
+            except error:
+                self._backoff(lane)
+        return call(*args)
+
+    # -- resilience subsystem ----------------------------------------------------
     #
     # Active when the device can fail (fault injector or heap cap).
     # Three mechanisms keep observables byte-identical under faults:
@@ -602,86 +705,6 @@ class CgcmRuntime:
         clock = self.machine.clock
         clock.advance(lane, clock.model.fault_backoff_s, "fault backoff")
         clock.count("fault_retries")
-
-    def _htod(self, device_ptr: int, data: bytes) -> None:
-        """``memcpy_htod`` with bounded retry for injected bus faults."""
-        device = self.device
-        if device.fault_injector is None:
-            device.memcpy_htod(device_ptr, data)
-            return
-        attempts = 0
-        while True:
-            try:
-                device.memcpy_htod(device_ptr, data)
-                return
-            except GpuTransferError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    raise
-                self._backoff(LANE_COMM)
-
-    def _dtoh(self, device_ptr: int, size: int) -> bytes:
-        """``memcpy_dtoh`` with bounded retry for injected bus faults."""
-        device = self.device
-        if device.fault_injector is None:
-            return device.memcpy_dtoh(device_ptr, size)
-        attempts = 0
-        while True:
-            try:
-                return device.memcpy_dtoh(device_ptr, size)
-            except GpuTransferError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    raise
-                self._backoff(LANE_COMM)
-
-    def _htod_from(self, device_ptr: int, host_address: int,
-                   size: int) -> None:
-        """Whole-unit host-to-device copy, segment to segment.
-
-        :meth:`_htod` without the staging ``bytes``: the serial
-        map/restore/refresh transfers always move one contiguous
-        unit, so the payload slices straight across the two address
-        spaces.  Same bounded retry."""
-        device = self.device
-        host_memory = self.machine.cpu_memory
-        if device.fault_injector is None:
-            device.memcpy_htod_from(device_ptr, host_memory,
-                                    host_address, size)
-            return
-        attempts = 0
-        while True:
-            try:
-                device.memcpy_htod_from(device_ptr, host_memory,
-                                        host_address, size)
-                return
-            except GpuTransferError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    raise
-                self._backoff(LANE_COMM)
-
-    def _dtoh_into(self, device_ptr: int, size: int,
-                   host_address: int) -> None:
-        """Whole-unit device-to-host write-back, segment to segment
-        (:meth:`_dtoh` without the staging ``bytes``)."""
-        device = self.device
-        host_memory = self.machine.cpu_memory
-        if device.fault_injector is None:
-            device.memcpy_dtoh_into(device_ptr, size, host_memory,
-                                    host_address)
-            return
-        attempts = 0
-        while True:
-            try:
-                device.memcpy_dtoh_into(device_ptr, size, host_memory,
-                                        host_address)
-                return
-            except GpuTransferError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    raise
-                self._backoff(LANE_COMM)
 
     def _alloc_device(self, info: AllocationInfo) -> bool:
         """Get device memory for a freshly mapped unit, resiliently.
@@ -740,7 +763,7 @@ class CgcmRuntime:
         if (not info.is_read_only and not info.is_array
                 and not info.needs_refresh
                 and info.epoch != self.global_epoch):
-            self._dtoh_into(info.device_ptr, info.size, info.base)
+            self._writeback(info, stream=False)
             info.epoch = self.global_epoch
         self.device.mem_free(info.device_ptr)
         info.resident = False
@@ -768,38 +791,28 @@ class CgcmRuntime:
             translated.append(einfo.device_ptr + (element - einfo.base))
         return struct.pack(f"<{len(translated)}Q", *translated)
 
-    def _restore(self, info: AllocationInfo) -> None:
-        """Re-materialize an evicted unit at its stable device address."""
-        if self.op_hooks:
-            self._notify("pre", "restore", info.base, info)
-        self.machine.flush_cpu()
-        if info.is_array:
-            self._htod(info.device_ptr, self._array_payload(info))
+    def _reupload(self, info: AllocationInfo) -> None:
+        """Re-copy a unit's host image to its stable device address:
+        ``restore`` re-materializes an evicted unit, ``refresh``
+        updates a resident one whose host copy a CPU-fallback launch
+        wrote."""
+        if info.resident:
+            op, counter = "refresh", "device_refreshes"
         else:
-            self._htod_from(info.device_ptr, info.base, info.size)
-        info.resident = True
+            op, counter = "restore", "device_restores"
+        if self.op_hooks:
+            self._notify("pre", op, info.base, info)
+        self.machine.flush_cpu()
+        payload = self._array_payload(info) if info.is_array else None
+        self._upload(info, payload, stream=False)
+        if not info.resident:
+            info.resident = True
+            self._lru[info.base] = info
         info.epoch = self.global_epoch
         info.needs_refresh = False
-        self._lru[info.base] = info
-        self.machine.clock.count("device_restores")
+        self.machine.clock.count(counter)
         if self.op_hooks:
-            self._notify("post", "restore", info.base, info)
-
-    def _refresh(self, info: AllocationInfo) -> None:
-        """Re-copy a host-authoritative resident unit to the device
-        (its host copy was written by a CPU-fallback launch)."""
-        if self.op_hooks:
-            self._notify("pre", "refresh", info.base, info)
-        self.machine.flush_cpu()
-        if info.is_array:
-            self._htod(info.device_ptr, self._array_payload(info))
-        else:
-            self._htod_from(info.device_ptr, info.base, info.size)
-        info.epoch = self.global_epoch
-        info.needs_refresh = False
-        self.machine.clock.count("device_refreshes")
-        if self.op_hooks:
-            self._notify("post", "refresh", info.base, info)
+            self._notify("post", op, info.base, info)
 
     def _unit_for_device_ptr(self, ptr: int) -> Optional[AllocationInfo]:
         """The unit whose minted device range contains ``ptr``."""
@@ -921,21 +934,17 @@ class CgcmRuntime:
                 return False
             if not self._make_room_at(info, pinned):
                 return False
-            self._restore(info)
+            self._reupload(info)
         return True
 
     def _launch_admit(self, kernel_name: str, grid: int) -> bool:
         """Driver launch call with bounded retry for injected faults."""
-        attempts = 0
-        while True:
-            try:
-                self.device.launch_begin(kernel_name, grid)
-                return True
-            except GpuLaunchError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    return False
-                self._backoff(LANE_GPU)
+        try:
+            self._retry(self.device.launch_begin, kernel_name, grid,
+                        error=GpuLaunchError, lane=LANE_GPU)
+        except GpuLaunchError:
+            return False
+        return True
 
     def _prepare_fallback(self, operands: List[AllocationInfo],
                           args: List) -> List:
@@ -953,7 +962,7 @@ class CgcmRuntime:
                     and info.epoch != self.global_epoch):
                 if self.op_hooks:
                     self._notify("pre", "flush", info.base, info)
-                self._dtoh_into(info.device_ptr, info.size, info.base)
+                self._writeback(info, stream=False)
                 info.epoch = self.global_epoch
                 if self.op_hooks:
                     self._notify("post", "flush", info.base, info)
@@ -982,154 +991,13 @@ class CgcmRuntime:
         if self._ensure_resident(operands):
             for info in operands:
                 if info.needs_refresh:
-                    self._refresh(info)
+                    self._reupload(info)
             if self._launch_admit(kernel.name, grid):
                 for info in operands:
                     if not info.is_global:
                         self._touch(info)
                 return None
         return self._prepare_fallback(operands, args)
-
-    # -- asynchronous entry points (streams subsystem) ----------------------------
-
-    def _h2d_stream(self, info: AllocationInfo) -> str:
-        """Upload stream for one unit: the well-known ``h2d`` stream,
-        or -- under a multi-device topology -- the h2d stream of the
-        device the unit is homed on, so uploads bound for different
-        devices overlap each other."""
-        if self.multigpu is not None:
-            return self.multigpu.h2d_stream(info)
-        return STREAM_H2D
-
-    def _d2h_stream(self, info: AllocationInfo) -> str:
-        """Write-back stream for one unit (see :meth:`_h2d_stream`)."""
-        if self.multigpu is not None:
-            return self.multigpu.d2h_stream(info)
-        return STREAM_D2H
-
-    def map_ptr_async(self, ptr: int) -> int:
-        """Prefetching ``map``: identical unit bookkeeping, but the
-        HtoD copy is issued on the h2d stream without blocking the
-        host.  A later launch orders itself after the copy via the
-        stream cursor (see ``Machine.launch_evaluated``).  Falls back
-        to :meth:`map_ptr` under the serial discipline."""
-        if not self.streams:
-            return self.map_ptr(ptr)
-        info = self.lookup(ptr)
-        if self.op_hooks:
-            self._notify("pre", "map", ptr, info)
-        if info.ref_count == 0:
-            if not info.is_global:
-                info.device_ptr = self.device.mem_alloc(info.size)
-            else:
-                info.device_ptr = self.device.module_get_global(info.name)
-            self.machine.flush_cpu()
-            data = self.machine.cpu_memory.read(info.base, info.size)
-            finish = self.device.memcpy_htod_async(
-                info.device_ptr, data, self._h2d_stream(info),
-                after=self._writeback_deps(info))
-            info.epoch = self.global_epoch
-            self._track_device(info)
-            if self.multigpu is not None:
-                self.multigpu.note_htod(info, finish)
-        info.ref_count += 1
-        assert info.device_ptr is not None
-        if self.op_hooks:
-            self._notify("post", "map", ptr, info)
-        return info.device_ptr + (ptr - info.base)
-
-    def _writeback_deps(self, info: AllocationInfo) -> tuple:
-        """Event edge for re-mapping a unit whose previous device copy
-        is still being written back: the fresh HtoD must not start
-        before the old DtoH finished (the host bytes it transfers are
-        final only then).  Retires the unit's pending entry."""
-        pending = self._pending_writebacks.pop(info.base, None)
-        if pending is None:
-            return ()
-        return (pending[1],)
-
-    def unmap_ptr_async(self, ptr: int) -> None:
-        """Deferred-write-back ``unmap``: the DtoH copy is issued on
-        the d2h stream, ordered after every launch so far (compute
-        stream event), and registered so any CPU access of the host
-        region synchronizes first.  Falls back to :meth:`unmap_ptr`
-        under the serial discipline."""
-        if not self.streams:
-            return self.unmap_ptr(ptr)
-        info = self.lookup(ptr)
-        if self.op_hooks:
-            self._notify("pre", "unmap", ptr, info)
-        if info.epoch == self.global_epoch or info.is_read_only:
-            if self.op_hooks:
-                self._notify("post", "unmap", ptr, info)
-            return
-        if info.device_ptr is None:
-            raise CgcmRuntimeError(
-                f"unmapAsync of {ptr:#x}: allocation unit has no device "
-                "copy")
-        self.machine.flush_cpu()
-        clock = self.machine.clock
-        deps = (clock.event_record(STREAM_COMPUTE),)
-        if self.multigpu is not None:
-            deps = deps + self.multigpu.unmap_deps(info)
-        data, finish = self.device.memcpy_dtoh_async(
-            info.device_ptr, info.size, self._d2h_stream(info), after=deps)
-        self.machine.cpu_memory.write(info.base, data)
-        info.epoch = self.global_epoch
-        self._pending_writebacks[info.base] = (info.end, finish)
-        if self.op_hooks:
-            self._notify("post", "unmap", ptr, info)
-
-    def map_array_async(self, ptr: int) -> int:
-        """Asynchronous :meth:`map_array`: elements prefetch through
-        :meth:`map_ptr_async`, then the translated pointer array is
-        itself copied on the h2d stream."""
-        if not self.streams:
-            return self.map_array(ptr)
-        info = self.lookup(ptr)
-        if self.op_hooks:
-            self._notify("pre", "map", ptr, info)
-        if info.ref_count == 0:
-            elements = self._read_pointer_array(info)
-            for element in elements:
-                if element:
-                    depth_guard = self.lookup(element)
-                    if depth_guard.is_array:
-                        raise CgcmUnsupportedError(
-                            "pointers with three or more degrees of "
-                            "indirection are not supported (CGCM "
-                            "restriction, paper section 2.3)")
-            translated = [self.map_ptr_async(e) if e else 0
-                          for e in elements]
-            if not info.is_global:
-                info.device_ptr = self.device.mem_alloc(info.size)
-            else:
-                info.device_ptr = self.device.module_get_global(info.name)
-            self.machine.flush_cpu()
-            payload = struct.pack(f"<{len(translated)}Q", *translated)
-            finish = self.device.memcpy_htod_async(
-                info.device_ptr, payload, self._h2d_stream(info),
-                after=self._writeback_deps(info))
-            info.epoch = self.global_epoch
-            info.is_array = True
-            self._track_device(info)
-            if self.multigpu is not None:
-                self.multigpu.note_htod(info, finish)
-        info.ref_count += 1
-        assert info.device_ptr is not None
-        if self.op_hooks:
-            self._notify("post", "map", ptr, info)
-        return info.device_ptr + (ptr - info.base)
-
-    def unmap_array_async(self, ptr: int) -> None:
-        """Asynchronous :meth:`unmap_array`: every element's
-        write-back is deferred through :meth:`unmap_ptr_async`."""
-        if not self.streams:
-            return self.unmap_array(ptr)
-        info = self.lookup(ptr)
-        for element in self._read_pointer_array(info):
-            if element:
-                self.unmap_ptr_async(element)
 
     # -- introspection -----------------------------------------------------------
 

@@ -107,20 +107,22 @@ class TestExitCodes:
                      "int main(void) { print_i64(10 / z); return 0; }\n",
     }
 
-    @pytest.mark.parametrize("argv, code", [
-        pytest.param(["run", "cfd"], 0, id="workload-name"),
-        pytest.param(["run", "{dir}/bad.c"], 2, id="syntax-error"),
-        pytest.param(["emit-ir", "{dir}/missing.c"], 2, id="missing-file"),
-        pytest.param(["sanitize", "no-such-workload"], 2,
+    @pytest.mark.parametrize("argv, code, names", [
+        pytest.param(["run", "cfd"], 0, "", id="workload-name"),
+        pytest.param(["run", "{dir}/bad.c"], 2, "{dir}/bad.c:1:27: ",
+                     id="syntax-error"),
+        pytest.param(["emit-ir", "{dir}/missing.c"], 2, "", id="missing-file"),
+        pytest.param(["sanitize", "no-such-workload"], 2, "",
                      id="unknown-workload"),
-        pytest.param(["run", "cfd", "--engine", "compiled"], 2,
+        pytest.param(["run", "cfd", "--engine", "compiled"], 2, "",
                      id="retired-engine"),
-        pytest.param(["run", "{dir}/divzero.c"], 3, id="runtime-error"),
+        pytest.param(["run", "{dir}/divzero.c"], 3, "", id="runtime-error"),
         pytest.param(["bench", "--repeat", "1",
-                      "--out", "{dir}/BENCH_interp.json"], 2,
+                      "--out", "{dir}/BENCH_interp.json"], 2, "",
                      id="noisy-committed-bench"),
     ])
-    def test_exit_code(self, argv, code, tmp_path, capsys):
+    def test_exit_code(self, argv, code, names, tmp_path, capsys):
+        """``names``: the location the stderr line must carry."""
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text)
         argv = [arg.format(dir=tmp_path) for arg in argv]
@@ -129,7 +131,7 @@ class TestExitCodes:
         if code == 0:
             assert err == ""
         else:
-            assert err.startswith("repro: ")
+            assert err.startswith("repro: " + names.format(dir=tmp_path))
             assert len(err.splitlines()) == 1, err
 
 

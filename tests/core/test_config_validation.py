@@ -1,5 +1,5 @@
 """CgcmConfig.__post_init__ validation: every bad combination fails
-fast with an actionable message (repro.resilience satellite)."""
+fast with an actionable message."""
 
 import pytest
 

@@ -6,7 +6,7 @@ from repro.errors import GpuError, MemoryFault
 from repro.gpu import CostModel, GpuDevice, SimClock
 from repro.gpu.timing import LANE_COMM, LANE_CPU, LANE_GPU
 from repro.ir import ArrayType, Module, F64
-from repro.memory import GlobalLayout
+from repro.memory import FlatMemory, GlobalLayout
 
 
 def fresh_device():
@@ -57,8 +57,11 @@ class TestTransfers:
     def test_htod_dtoh_roundtrip(self):
         device, clock = fresh_device()
         address = device.mem_alloc(32)
+        host = FlatMemory("cpu")
+        host.add_segment("data", 0x1000, 0x1000)
         device.memcpy_htod(address, bytes(range(32)))
-        assert device.memcpy_dtoh(address, 32) == bytes(range(32))
+        device.memcpy_dtoh_into(address, 32, host, 0x1000)
+        assert host.read(0x1000, 32) == bytes(range(32))
         assert clock.counters["htod_copies"] == 1
         assert clock.counters["dtoh_copies"] == 1
         assert clock.counters["htod_bytes"] == 32

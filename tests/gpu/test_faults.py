@@ -1,4 +1,4 @@
-"""Deterministic fault injection on the simulated driver (repro.resilience)."""
+"""Deterministic fault injection on the simulated driver (the resilience subsystem)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -1,4 +1,4 @@
-"""Stream, event, and overlap-scheduler semantics (repro.streams)."""
+"""Stream, event, and overlap-scheduler semantics (the streams subsystem)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st

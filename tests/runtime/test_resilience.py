@@ -1,5 +1,7 @@
 """Resilient runtime: eviction, restore, sentinels, CPU fallback
-(repro.resilience)."""
+(the resilience subsystem in runtime/cgcm.py)."""
+
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,7 +84,7 @@ class TestEviction:
         runtime._evict(info)
         assert not info.resident and info.device_ptr == minted
 
-        runtime._restore(info)
+        runtime._reupload(info)
         assert info.resident and info.device_ptr == minted
         assert machine.device.memory.read(minted, UNIT_SIZE) \
             == machine.cpu_memory.read(base, UNIT_SIZE)
@@ -140,6 +142,17 @@ class TestTransientRetry:
         runtime.unmap_ptr(base)
         assert machine.cpu_memory.read(base, UNIT_SIZE) == b"\x22" * UNIT_SIZE
         assert machine.clock.counters["fault_retries"] > 0
+
+        # A pointer-array unit uploads its translated pointers instead
+        # of its host bytes.  Its element is already mapped, so the
+        # payload is the only copy mapArray makes.
+        array_base, array_info = heap_unit(machine, runtime, 0, size=16)
+        machine.cpu_memory.write(array_base, struct.pack("<2Q", base + 8, 0))
+        retries = machine.clock.counters["fault_retries"]
+        runtime.map_array(array_base)
+        assert machine.device.memory.read(array_info.device_ptr, 16) \
+            == struct.pack("<2Q", info.device_ptr + 8, 0)
+        assert machine.clock.counters["fault_retries"] > retries
 
     def test_backoff_charges_modelled_time(self):
         plan = FaultPlan(seed=11, transfer_fail_rate=0.6,
